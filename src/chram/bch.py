@@ -1,11 +1,11 @@
-"""Truncated enveloping-algebra machinery mod J^p.
+"""Campbell-Hausdorff product below degree p, and the operators built on it.
 
-exp/log are mutually inverse below degree p, and the Campbell-Hausdorff
-product is computed as log(exp(x) exp(y)) in the PBW basis (nondecreasing
-sequences of Hall ids).  The same computation, run once on a two-generator
-algebra, yields a Hall-word expansion of x o y that can be evaluated against
-any bracket implementation: series, jets and the synthetic filtered algebras
-of the property suite all reuse it.
+Every bracket backend (Lie elements, series, jets, the synthetic filtered
+algebras of the property suite) evaluates x o y from one Hall-word expansion
+on two letters, bch_table(p).  The table is derived once per p as
+log(exp(x) exp(y)) in the PBW basis of the truncated enveloping algebra
+(nondecreasing sequences of Hall ids); that PBW machinery serves only to
+build the table and, in the tests, as an oracle for the CH product.
 
 Also here: Bernoulli numbers mod p, the power-sum polynomials, and orbit
 products l o B(l) o ... o B^(n-1)(l) with their polynomial coefficients.
@@ -152,8 +152,9 @@ def log_trunc(alg: LieAlgebra, u: dict) -> dict:
     return {mo[0]: c for mo, c in acc.items()}
 
 
-def ch_mul(alg: LieAlgebra, x: dict, y: dict) -> dict:
-    """Campbell-Hausdorff product log(exp(x) exp(y)) below degree p."""
+def _ch_pbw(alg: LieAlgebra, x: dict, y: dict) -> dict:
+    """log(exp(x) exp(y)) in the PBW basis: builds bch_table, and is the
+    tests' oracle for ch_mul."""
     return log_trunc(alg, env_mul(alg, exp_trunc(alg, x), exp_trunc(alg, y)))
 
 
@@ -173,18 +174,17 @@ def bch_table(p: int) -> list:
     alg = LieAlgebra(k, synthetic_gens=[("x", 1), ("y", 1)])
     gx = alg.gen_elem(("s", "x"))
     gy = alg.gen_elem(("s", "y"))
-    z = ch_mul(alg, gx, gy)
-
-    def tree(i: int):
-        if alg.deg[i] == 1:
-            return alg.label[i][1]
-        return (tree(alg.left[i]), tree(alg.right[i]))
-
-    table = []
-    for i in sorted(z, key=lambda i: (alg.deg[i], i)):
-        table.append((z[i][0], tree(i)))
+    z = _ch_pbw(alg, gx, gy)
+    table = [(z[i][0], _letter_tree(alg, i))
+             for i in sorted(z, key=lambda i: (alg.deg[i], i))]
     _BCH_TABLES[p] = table
     return table
+
+
+def _letter_tree(alg: LieAlgebra, i: int):
+    if alg.deg[i] == 1:
+        return alg.label[i][1]
+    return (_letter_tree(alg, alg.left[i]), _letter_tree(alg, alg.right[i]))
 
 
 def _eval_tree(ops, tree, x, y, memo):
@@ -213,7 +213,7 @@ def ch_generic(ops, x, y):
 # -- operation backends -----------------------------------------------------------
 
 class ElemOps:
-    """LieElem backend; ch goes through the PBW construction directly."""
+    """LieElem backend; ch evaluates the Hall expansion like every backend."""
 
     def __init__(self, alg: LieAlgebra):
         self.alg = alg
@@ -238,7 +238,12 @@ class ElemOps:
         return not a
 
     def ch(self, a, b):
-        return ch_mul(self.alg, a, b)
+        return ch_generic(self, a, b)
+
+
+def ch_mul(alg: LieAlgebra, x: dict, y: dict) -> dict:
+    """Campbell-Hausdorff product x o y of Lie elements below degree p."""
+    return ch_generic(ElemOps(alg), x, y)
 
 
 class JetOps:
@@ -278,13 +283,6 @@ class JetOps:
 def ad_apply(ops, x, y):
     """(ad x)(y) = [y, x] (the convention used throughout this package)."""
     return ops.bracket(y, x)
-
-
-def iter_ad(ops, x, y, k: int):
-    out = y
-    for _ in range(k):
-        out = ops.bracket(out, x)
-    return out
 
 
 def adjoint_apply(ops, x, y):

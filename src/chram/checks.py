@@ -45,8 +45,8 @@ def check_witt_dims(cfg: RunConfig) -> tuple:
 
 
 def check_ch_laws(cfg: RunConfig, trials: int = 200) -> tuple:
-    """Associativity and inverses of the CH product, plus the generic
-    evaluation agreeing with the PBW route."""
+    """Associativity and inverses of the CH product, plus its Hall-table
+    evaluation agreeing with log(exp x exp y) in the PBW basis."""
     rng = random.Random(cfg.seed)
     alg = build_algebra(cfg)
     t0 = time.time()
@@ -58,10 +58,9 @@ def check_ch_laws(cfg: RunConfig, trials: int = 200) -> tuple:
         if lhs != rhs or bch.ch_mul(alg, x, alg.el_neg(x)) != {}:
             ok = False
             break
-    ops = bch.ElemOps(alg)
     for t in range(min(trials, 50)):
         x, y = alg.rand_elem(rng, 2), alg.rand_elem(rng, 2)
-        if bch.ch_mul(alg, x, y) != bch.ch_generic(ops, x, y):
+        if bch.ch_mul(alg, x, y) != bch._ch_pbw(alg, x, y):
             ok = False
             break
     dt = time.time() - t0

@@ -134,22 +134,19 @@ class LieAlgebra:
 
     def nf(self, u: int, v: int) -> dict:
         """Normal form of [u, v] as {word_id: coeff mod p}."""
-        if u == v:
-            return {}
         p = self.p
+        # pairs that vanish by degree or weight stay out of the memo, where
+        # the CH table route would make them most of its entries
+        if u == v or self.deg[u] + self.deg[v] >= p or (
+                self.weight_cap is not None
+                and self.wt[u] + self.wt[v] >= self.weight_cap):
+            return {}
         if u < v:
             return {i: (-c) % p for i, c in self.nf(v, u).items()}
         key = (u, v)
         cached = self._nf_memo.get(key)
         if cached is not None:
             return cached
-        d = self.deg[u] + self.deg[v]
-        if d >= p:
-            self._nf_memo[key] = {}
-            return {}
-        if self.weight_cap is not None and self.wt[u] + self.wt[v] >= self.weight_cap:
-            self._nf_memo[key] = {}
-            return {}
         if self.deg[u] == 1 or self.right[u] <= v:
             w = self.pair_id.get(key)
             if w is None:

@@ -24,8 +24,12 @@ from fractions import Fraction
 from .freelie import (LieAlgebra, IdealBasis, RowSpace, D0,
                       invert_vandermonde_mod_p, solve_linear_mod_p)
 from .series import SeriesCtx, AutSpec
-from .bch import ch_generic, _fact
+from .bch import ch_generic, ch_mul, _fact
 from .ramgen import ram_generator, ram_generator_family
+
+
+class LiftError(RuntimeError):
+    """A lift solver's recurrence broke an invariant it relies on."""
 
 
 # -- backends ---------------------------------------------------------------------
@@ -146,8 +150,8 @@ def solve_linearized(sctx: SeriesCtx, aut: AutSpec) -> LinearizedLift:
         for k in range(1, s):
             part = c_chains[s - k - 1][k] if s - k - 1 < len(c_chains) else {}
             b = sctx.sub(b, sctx.scale_int(inv_fact[k], part))
-        for eexp, x in b.items():
-            assert all(alg.deg[i] == s for i in x), "defect not of pure degree"
+        if any(alg.deg[i] != s for x in b.values() for i in x):
+            raise LiftError(f"defect not of pure degree {s}")
         r = sctx.r_op(b)
         x_s = sctx.s_op(b)
         out.b_records.append(b)
@@ -256,8 +260,8 @@ def solve_lift(sctx: SeriesCtx, aut: AutSpec) -> FullLift:
         b_all = sctx.sub(lhs, rhs)
         b = {}
         for eexp, x in b_all.items():
-            low = {i: c for i, c in x.items() if alg.deg[i] < s}
-            assert not low, f"defect has terms below degree {s}"
+            if any(alg.deg[i] < s for i in x):
+                raise LiftError(f"defect has terms below degree {s}")
             hi = {i: c for i, c in x.items() if alg.deg[i] == s}
             if hi:
                 b[eexp] = hi
@@ -277,7 +281,8 @@ def solve_lift(sctx: SeriesCtx, aut: AutSpec) -> FullLift:
     # closing check: the conjugation equation holds modulo the policy
     lhs = sctx.ch(he, full.c)
     rhs = sctx.ch(sctx.sigma(full.c, 1), automorphism_image_series(sctx, full))
-    assert lhs == rhs, "conjugation equation fails after the last degree"
+    if lhs != rhs:
+        raise LiftError("conjugation equation fails after the last degree")
     return full
 
 
@@ -791,7 +796,6 @@ def commutator_filtration_check(sctx: SeriesCtx, full: FullLift) -> bool:
     elements A(l) o (-l), l in L(s), reproduces the weight ideal at s+1 on
     the truncated algebra (checked for every s below p-1)."""
     from .freelie import minimal_sigma_ideal, monomial_ideal
-    from .bch import ch_mul
     alg = sctx.alg
     for s in range(1, alg.p - 1):
         gens = []

@@ -146,6 +146,7 @@ def ram_generator_family(alg: LieAlgebra, depth: int, gamma_max: Fraction,
         if target_num is not None and start > target_num:
             break
         extend({alg.gen_ids[("g", a1, 0)]: f.one}, start, 1, 0, 1, a1, 1)
+    del extend  # a self-referencing closure would keep alg alive until gc
     return {g: x for g, x in out.items() if x}
 
 

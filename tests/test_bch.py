@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from chram.gf import FieldCtx
 from chram.freelie import LieAlgebra
 from chram import bch
-from chram.bch import (exp_trunc, log_trunc, ch_mul, ch_generic, bch_table,
+from chram.bch import (exp_trunc, log_trunc, ch_mul, bch_table,
                        ElemOps, JetOps, ad_apply, adjoint_apply, e0_apply,
                        bernoulli_mod_p, power_sum_poly, poly_eval_mod,
                        orbit_product, orbit_coefficients, GenDerivation,
@@ -78,19 +78,32 @@ def test_ch_associative(alg5):
             ch_mul(alg5, x, ch_mul(alg5, y, z))
 
 
-def test_generic_matches_pbw(alg5):
-    rng = random.Random(5)
-    ops = ElemOps(alg5)
-    for _ in range(20):
-        x, y = alg5.rand_elem(rng, 2), alg5.rand_elem(rng, 2)
-        assert ch_generic(ops, x, y) == ch_mul(alg5, x, y)
+def test_generic_matches_pbw(alg3, alg5):
+    """The Hall-table route (ch_mul, ElemOps.ch) against log(exp x exp y)
+    in the PBW basis, on pinned seeds, for pairs and triple products."""
+    for alg, seed in ((alg3, 50), (alg5, 5)):
+        rng = random.Random(seed)
+        ops = ElemOps(alg)
+        for _ in range(15):
+            x, y = alg.rand_elem(rng, 3), alg.rand_elem(rng, 3)
+            want = bch._ch_pbw(alg, x, y)
+            assert ch_mul(alg, x, y) == want
+            assert ops.ch(x, y) == want
+        for _ in range(5):
+            x, y, z = (alg.rand_elem(rng, 3) for _ in range(3))
+            assert ch_mul(alg, ch_mul(alg, x, y), z) == \
+                bch._ch_pbw(alg, bch._ch_pbw(alg, x, y), z)
+            assert ch_mul(alg, x, ch_mul(alg, y, z)) == \
+                bch._ch_pbw(alg, x, bch._ch_pbw(alg, y, z))
 
 
 def test_bch_table_shape():
-    t3 = bch_table(3)
-    # x + y + (1/2)[x, y] and nothing else below degree 3
-    assert t3 == [(1, "x"), (1, "y"), (2, ("y", "x"))] or \
-        t3 == [(1, "x"), (1, "y"), (1, ("x", "y"))] or len(t3) == 3
+    # x + y + (1/2)[x, y], with 1/2 = -1 mod 3, and nothing else below degree 3
+    assert bch_table(3) == [(1, "x"), (1, "y"), (1, ("y", "x"))]
+    # adds (1/12)[x,[x,y]] - (1/12)[y,[x,y]] - (1/24)[y,[x,[x,y]]] mod 5
+    assert bch_table(5) == [(1, "x"), (1, "y"), (2, ("y", "x")),
+                            (2, (("y", "x"), "y")), (3, (("y", "x"), "x")),
+                            (4, ((("y", "x"), "x"), "y"))]
 
 
 def test_exp_is_diagonal(alg3):

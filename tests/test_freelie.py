@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chram.gf import FieldCtx
+from chram.bch import ElemOps, ch_generic
 from chram.freelie import (LieAlgebra, BasisSizeError, witt_dimension, D0,
                            minimal_sigma_ideal, member, monomial_ideal,
                            member_mod_monomial, RowSpace)
@@ -55,6 +56,24 @@ def test_basis_cap():
                      word_cap=100)
     with pytest.raises(BasisSizeError):
         alg.eager_build(6)
+
+
+def test_nf_memo_holds_no_vanishing_pairs():
+    """Pairs that vanish by degree (>= p) or by weight cap never enter the
+    nf memo, even after table-route CH products that touch many of them."""
+    alg = LieAlgebra(FieldCtx(7, 1), c0=7, a_max=14)
+    rng = random.Random(17)
+    ops = ElemOps(alg)
+    for _ in range(3):
+        ch_generic(ops, alg.rand_elem(rng, 3), alg.rand_elem(rng, 3))
+    assert alg._nf_memo
+    assert all(alg.deg[u] + alg.deg[v] < alg.p for u, v in alg._nf_memo)
+    capped = LieAlgebra(FieldCtx(5, 1), synthetic_gens=[("u", 1), ("v", 2)],
+                        weight_cap=4)
+    u, v = capped.gen_ids[("s", "u")], capped.gen_ids[("s", "v")]
+    uv = capped.nf(u, v)
+    assert uv and capped.nf(next(iter(uv)), v) == {}
+    assert all(capped.wt[a] + capped.wt[b] < 4 for a, b in capped._nf_memo)
 
 
 def test_bracket_axioms(alg5):

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -108,6 +111,29 @@ def test_routes_agree(ctx3, ctx32):
             lin = lifts.solve_linearized(sctx, aut)
             full = lifts.solve_lift(sctx, aut)
             assert lifts.lifts_agree(sctx, lin, full, aut)
+
+
+def test_closing_check_raises_under_optimize():
+    """The closing conjugation check of solve_lift is a typed error, so
+    `python -O` (which strips asserts) still reports a broken lift."""
+    script = (
+        "from chram.gf import FieldCtx\n"
+        "from chram.freelie import LieAlgebra\n"
+        "from chram.series import SeriesCtx, AutSpec\n"
+        "from chram import lifts\n"
+        "sctx = SeriesCtx(LieAlgebra(FieldCtx(3, 1), c0=3, a_max=6))\n"
+        "sctx.ch = lambda F, G: F  # breaks only the closing check\n"
+        "try:\n"
+        "    lifts.solve_lift(sctx, AutSpec(sctx.alg.field, 3, ((1,), (2,))))\n"
+        "except lifts.LiftError as exc:\n"
+        "    print(isinstance(exc, RuntimeError), exc)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lifts.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == \
+        "True conjugation equation fails after the last degree\n"
 
 
 def test_closed_forms_p3(ctx3, aut3, lin3):

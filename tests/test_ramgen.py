@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -119,6 +121,20 @@ def test_family_matches_single(alg3):
     fam = ram_generator_family(alg3, 1, Fraction(8))
     for g, el in fam.items():
         assert el == ram_generator(alg3, g, 1)
+
+
+def test_family_releases_algebra():
+    """ram_generator_family leaves no reference cycle that keeps its algebra
+    alive: with the cyclic collector off, the algebra dies with its name."""
+    gc.disable()
+    try:
+        alg = LieAlgebra(FieldCtx(3, 1), c0=3, a_max=6)
+        assert ram_generator_family(alg, 1, Fraction(8))
+        ref = weakref.ref(alg)
+        del alg
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_gamma_grid_contents():
